@@ -54,6 +54,7 @@ from ..graph.digraph import DiGraph
 from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
+from ..resilience.preempt import check_cancelled
 from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
@@ -62,7 +63,7 @@ __all__ = ["bnw_potential"]
 
 
 def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
-                  model: CostModel = DEFAULT_MODEL, token=None
+                  model: CostModel = DEFAULT_MODEL
                   ) -> tuple[np.ndarray | None, list[int] | None]:
     """Feasible potential for ``g`` (or a negative-cycle vertex list).
 
@@ -85,12 +86,10 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
                         n=g.n, m=g.m, b0=b) as sp:
             scales = 0
             while True:
-                if token is not None:
-                    token.check("bnw:scale")
+                check_cancelled("bnw:scale")
                 target = b // 2
                 wr = _reduced(g, w, phi, local, model)
-                psi, cycle = _scale_down(g, wr, target, rng, local, model,
-                                         token)
+                psi, cycle = _scale_down(g, wr, target, rng, local, model)
                 if cycle is not None:
                     sp.set(negative_cycle=True)
                     metric_inc("repro_bnw_scales_total", outcome="cycle")
@@ -125,7 +124,7 @@ def _reduced(g: DiGraph, w: np.ndarray, phi: np.ndarray,
 
 
 def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
-                acc: CostAccumulator, model: CostModel, token
+                acc: CostAccumulator, model: CostModel
                 ) -> tuple[np.ndarray, list[int] | None]:
     """One BNW ``ScaleDown``: a potential ``psi`` with
     ``wr + psi[u] − psi[v] ≥ −target`` everywhere, or a negative cycle."""
@@ -145,7 +144,7 @@ def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
         psi, cycle = _fix_clusters(g, wb, cluster, acc, model)
         if cycle is not None:
             return psi, cycle
-        return _elim_neg(g, wr, wb, psi, target, acc, model, token, sp)
+        return _elim_neg(g, wr, wb, psi, target, acc, model, sp)
 
 
 def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
@@ -229,8 +228,8 @@ def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
 
 
 def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
-              target: int, acc: CostAccumulator, model: CostModel, token,
-              sp) -> tuple[np.ndarray, list[int] | None]:
+              target: int, acc: CostAccumulator, model: CostModel, sp
+              ) -> tuple[np.ndarray, list[int] | None]:
     """Phases 2+3: ``ElimNeg`` — the Dijkstra/Bellman–Ford hybrid.
 
     Runs on the cluster-fixed weights, where only boundary edges are
@@ -253,8 +252,7 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
     cap = min(len(neg), max(g.n - 1, 1)) + 1
     rounds = 0
     for _ in range(cap):  # repro: noqa[RS001] each BFD round charges its dijkstra + map cost inside
-        if token is not None:
-            token.check("bnw:elim-neg")
+        check_cancelled("bnw:elim-neg")
         rounds += 1
         d = dijkstra_from_labels(gpos, d, acc, model)
         cand = d[nsrc] + nw

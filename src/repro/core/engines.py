@@ -54,6 +54,7 @@ from ..resilience.errors import (
     InputValidationError,
     VerificationError,
 )
+from ..resilience.preempt import cancel_scope, check_cancelled
 from ..runtime.backends import resolve_backend
 from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -135,7 +136,7 @@ class _PotentialEngine:
     delegates_to_solve_sssp = False
     name: str = "potential"
 
-    def _potential(self, g: DiGraph, *, seed, acc, model, token, backend
+    def _potential(self, g: DiGraph, *, seed, acc, model, backend
                    ) -> tuple[np.ndarray | None, list[int] | None]:
         raise NotImplementedError
 
@@ -157,12 +158,12 @@ class _PotentialEngine:
                 and hasattr(backend, "install_fault_plan")):
             backend.install_fault_plan(fault_plan)
         local = CostAccumulator()
-        with trace_span("solve", acc=local, phase="solve",
-                        engine=self.name, n=g.n, m=g.m, source=source,
-                        seed=seed) as sp:
+        with cancel_scope(token), \
+                trace_span("solve", acc=local, phase="solve",
+                           engine=self.name, n=g.n, m=g.m, source=source,
+                           seed=seed) as sp:
             price, cycle = self._potential(g, seed=seed, acc=local,
-                                           model=model, token=token,
-                                           backend=backend)
+                                           model=model, backend=backend)
             if cycle is not None:
                 cert = Certificate("negative_cycle", cycle=list(cycle))
                 if check_certificates and not cert.verify(g):
@@ -189,15 +190,14 @@ class _PotentialEngine:
                     f"{self.name}: infeasible price function",
                     stage=f"engine:{self.name}")
             sp.set(certificate=cert.kind)
-            if token is not None:
-                token.check(f"{self.name}:final-dijkstra")
+            check_cancelled(f"{self.name}:final-dijkstra")
             if backend is not None and g.m:
                 # physical execution of the reduced-weight map moves to
                 # the backend; the model cost charged below is unchanged,
                 # keeping golden costs bit-exact across backends
                 parts = backend.map_blocks(
                     g.m, _reduced_weights_block,
-                    (g.src, g.dst, g.w, price), token=token)
+                    (g.src, g.dst, g.w, price))
                 w_red = np.concatenate(parts)
             else:
                 w_red = (g.w + price[g.src] - price[g.dst]
@@ -231,10 +231,9 @@ class BnwScalingEngine(_PotentialEngine):
 
     name = "bnw_scaling"
 
-    def _potential(self, g, *, seed, acc, model, token, backend):
+    def _potential(self, g, *, seed, acc, model, backend):
         del backend  # BNW's ball growing is inherently sequential here
-        return bnw_potential(g, seed=seed, acc=acc, model=model,
-                             token=token)
+        return bnw_potential(g, seed=seed, acc=acc, model=model)
 
 
 @SSSP_ENGINES.register("fischer_simple")
@@ -244,9 +243,9 @@ class FischerSimpleEngine(_PotentialEngine):
 
     name = "fischer_simple"
 
-    def _potential(self, g, *, seed, acc, model, token, backend):
+    def _potential(self, g, *, seed, acc, model, backend):
         return fischer_potential(g, seed=seed, acc=acc, model=model,
-                                 token=token, backend=backend)
+                                 backend=backend)
 
 
 def engine_names() -> list[str]:

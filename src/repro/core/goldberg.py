@@ -21,6 +21,7 @@ from ..resilience.errors import (
 )
 from ..observability.tracer import trace_span
 from ..resilience.guard import Meter
+from ..resilience.preempt import check_cancelled
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -64,7 +65,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     max_iterations: int | None = None,
                     fault_plan=None,
                     retry_policy: RetryPolicy | None = None,
-                    guard=None, token=None) -> ReweightingResult:
+                    guard=None) -> ReweightingResult:
     """Solve the 1-reweighting problem (all weights ≥ −1).
 
     ``max_iterations`` is a safety valve (default ``4·(√n + 2)``, far above
@@ -76,10 +77,10 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     (``core.price.is_valid_improvement``) before it is applied.  A delta
     that fails — possible with a faulty nested stage or an injected
     ``"price"`` fault — is retried with a fresh derived seed under
-    ``retry_policy``; ``guard`` is debited once per iteration.  ``token``
-    (:class:`~repro.resilience.preempt.CancelToken`) is checked at every
-    iteration boundary, making long improvement loops preemptible between
-    — never inside — verified price updates.
+    ``retry_policy``; ``guard`` is debited once per iteration.  The
+    ambient cancellation token is checked at every iteration boundary,
+    making long improvement loops preemptible between — never inside —
+    verified price updates.
     """
     w0 = (g.w if weights is None else np.asarray(weights, dtype=np.int64))
     if g.m and w0.min() < -1:
@@ -95,8 +96,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     with trace_span("reweighting", acc=local, phase="reweighting",
                     n=g.n, m=g.m) as rwsp:
         for it in range(max_iterations):
-            if token is not None:
-                token.check("reweighting:iteration")
+            check_cancelled("reweighting:iteration")
             w_red = w0 + price[g.src] - price[g.dst] if g.m else w0
             local.charge_cost(model.map(g.m))
             k_now = count_negative_vertices(g, w_red)

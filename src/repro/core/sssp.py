@@ -41,7 +41,8 @@ from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_event, trace_span
 from ..observability.worker import worker_span
 from ..resilience.guard import BudgetGuard
-from ..resilience.preempt import CancelToken, Deadline, cancel_scope, make_token
+from ..resilience.preempt import (CancelToken, Deadline, cancel_scope,
+                                  check_cancelled, make_token)
 from ..resilience.retry import AttemptRecord, RetryPolicy, SolveProvenance
 from ..runtime.backends import resolve_backend
 from ..runtime.metrics import Cost, CostAccumulator
@@ -161,13 +162,14 @@ def solve_sssp(g: DiGraph, source: int, *,
             and hasattr(backend, "install_fault_plan")):
         backend.install_fault_plan(fault_plan)
     local = CostAccumulator()
-    with trace_span("solve", acc=local, phase="solve", mode=mode,
-                    n=g.n, m=g.m, source=source, seed=seed) as sp:
+    with cancel_scope(token), \
+            trace_span("solve", acc=local, phase="solve", mode=mode,
+                       n=g.n, m=g.m, source=source, seed=seed) as sp:
         scal = scaled_reweighting(g, mode=mode, assp_engine=assp_engine,
                                   eps=eps, seed=seed, acc=local, model=model,
                                   fault_plan=fault_plan,
                                   retry_policy=retry_policy, guard=guard,
-                                  token=token, checkpoint_path=checkpoint_path,
+                                  checkpoint_path=checkpoint_path,
                                   resume=resume, on_checkpoint=on_checkpoint)
         if scal.negative_cycle is not None:
             cert = Certificate("negative_cycle",
@@ -192,15 +194,13 @@ def solve_sssp(g: DiGraph, source: int, *,
                 "internal error: infeasible price function",
                 stage="solve_sssp")
         sp.set(certificate=cert.kind)
-        if token is not None:
-            token.check("sssp:final-dijkstra")
+        check_cancelled("sssp:final-dijkstra")
         if backend is not None and g.m:
             # physical execution of the reduced-weight map moves to the
             # backend; the model cost charged below is unchanged, which is
             # what keeps golden costs bit-exact across backends
             parts = backend.map_blocks(
-                g.m, _reduced_weights_block, (g.src, g.dst, g.w, price),
-                token=token)
+                g.m, _reduced_weights_block, (g.src, g.dst, g.w, price))
             w_red = np.concatenate(parts)
         else:
             w_red = g.w + price[g.src] - price[g.dst] if g.m else g.w
@@ -353,7 +353,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
                     res = engine_obj.solve(
                         g, source, seed=aseed, acc=acc, model=model,
                         check_certificates=True, fault_plan=fault_plan,
-                        token=token, backend=backend)
+                        backend=backend)
                     if guard is not None:
                         # registry engines do not thread the guard through
                         # their phases; enforce the budget on the whole
@@ -364,7 +364,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
                         g, source, mode=mode, assp_engine=assp_engine,
                         eps=eps, seed=aseed, acc=acc, model=model,
                         check_certificates=True, fault_plan=fault_plan,
-                        retry_policy=policy, guard=guard, token=token,
+                        retry_policy=policy, guard=guard,
                         checkpoint_path=checkpoint_path if primary else None,
                         resume=resume and primary,
                         on_checkpoint=on_checkpoint if primary else None,

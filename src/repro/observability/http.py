@@ -121,7 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         owner = self.owner
         if path == "/metrics":
-            reg = owner.resolve_registry()
+            reg = owner.registry
             text = reg.to_prometheus() if reg is not None else ""
             if reg is not None:
                 reg.inc("repro_scrapes_total", 1.0,
@@ -137,7 +137,7 @@ class _Handler(BaseHTTPRequestHandler):
             doc = progress_snapshot(owner.registry, owner.tracer,
                                     owner.backend,
                                     uptime_s=round(owner.uptime(), 3))
-            reg = owner.resolve_registry()
+            reg = owner.registry
             if reg is not None:
                 reg.inc("repro_scrapes_total", 1.0,
                         help="Telemetry HTTP requests served by endpoint",
@@ -172,9 +172,9 @@ class TelemetryServer:
     thread for the duration of a solve.
 
     ``registry``/``tracer`` left None resolve to the *ambient*
-    installations at request time, so the server can be started before
-    ``metering``/``tracing`` are entered.  Usable as a context manager;
-    :meth:`stop` is idempotent.
+    installations when :meth:`start` runs, on the caller's thread — the
+    serving thread has its own (empty) solve context.  Usable as a
+    context manager; :meth:`stop` is idempotent.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None,
@@ -190,10 +190,6 @@ class TelemetryServer:
         self._t0 = time.monotonic()
 
     # -- wiring ---------------------------------------------------------
-
-    def resolve_registry(self) -> MetricsRegistry | None:
-        return (self.registry if self.registry is not None
-                else current_metrics())
 
     def uptime(self) -> float:
         return time.monotonic() - self._t0
@@ -213,6 +209,10 @@ class TelemetryServer:
     def start(self) -> "TelemetryServer":
         if self._httpd is not None:
             return self
+        if self.registry is None:
+            self.registry = current_metrics()
+        if self.tracer is None:
+            self.tracer = current_tracer()
         handler = type("_BoundHandler", (_Handler,), {"owner": self})
         self._httpd = ThreadingHTTPServer(
             (self.host, self._requested_port), handler)

@@ -34,11 +34,12 @@ the sums of its children's, computed as they close.
 
 Zero cost when disabled
 -----------------------
-Tracing is ambient: :func:`trace_span` / :func:`trace_event` consult a
-module-level active tracer and return a shared no-op handle when none is
-installed — one global load and an ``is None`` test per instrumentation
-site, no allocation beyond the call itself.  Install a tracer for a region
-with :func:`tracing`.
+Tracing is ambient: :func:`trace_span` / :func:`trace_event` consult the
+tracer of the current :class:`~repro.runtime.context.SolveContext` and
+return a shared no-op handle when none is installed — one context-variable
+read and an ``is None`` test per instrumentation site, no allocation
+beyond the call itself.  Install a tracer for a region with
+:func:`tracing`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..runtime.context import current_context, solve_scope
 from ..runtime.metrics import CostAccumulator
 from .metrics import MetricsRegistry, current_metrics
 
@@ -385,45 +387,27 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# ambient tracer (module-global for a cheap disabled path)
+# ambient tracer (a field of the solve context)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: Tracer | None = None
-
 
 def current_tracer() -> Tracer | None:
     """The ambient tracer installed by :func:`tracing`, or None."""
-    return _ACTIVE
+    return current_context().tracer
 
 
-class tracing:
+def tracing(tracer: Tracer) -> solve_scope[Tracer]:
     """Context manager installing ``tracer`` as the ambient tracer.
 
     Nestable; the previous tracer (usually None) is restored on exit.
     """
-
-    __slots__ = ("tracer", "_prev")
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-
-    def __enter__(self) -> Tracer:
-        global _ACTIVE
-        self._prev = _ACTIVE
-        _ACTIVE = self.tracer
-        return self.tracer
-
-    def __exit__(self, *exc) -> bool:
-        global _ACTIVE
-        _ACTIVE = self._prev
-        return False
+    return solve_scope(tracer, tracer=tracer)
 
 
 def trace_span(name: str, acc: CostAccumulator | None = None,
                phase: str = "", **attrs):
     """Open a span on the ambient tracer — a shared no-op when tracing is
     off, so instrumentation sites cost one None-test when disabled."""
-    tr = _ACTIVE
+    tr = current_context().tracer
     if tr is None:
         return NOOP_SPAN
     return tr.span(name, acc=acc, phase=phase, **attrs)
@@ -431,6 +415,6 @@ def trace_span(name: str, acc: CostAccumulator | None = None,
 
 def trace_event(name: str, **attrs) -> None:
     """Record an instant event on the ambient tracer (no-op when off)."""
-    tr = _ACTIVE
+    tr = current_context().tracer
     if tr is not None:
         tr.event(name, **attrs)

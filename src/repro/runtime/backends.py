@@ -233,7 +233,8 @@ def _worker_main(wid: int, conn: Any, heartbeat_interval: float) -> None:
                 # checks inside fn observe a local token bound to it
                 token = CancelToken(Deadline.after(max(remaining, 0.0)))
             try:
-                with cancel_scope(token), sess:
+                # the session's fresh context first, the token on top
+                with sess, cancel_scope(token):
                     value = fn(lo, hi, *args)
                 box["msg"] = ("ok", wid, epoch, bid, attempt, value,
                               sess.collect())

@@ -27,9 +27,11 @@ Two failure channels are handled explicitly:
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from functools import partial
 from typing import Any, Callable
 
 from ..observability.metrics import metric_inc
@@ -178,8 +180,12 @@ class ForkJoinPool:
             for lo in range(0, n, step):
                 if token is not None and token.cancelled:
                     break  # stop dispatching; drain blocks in flight
-                futures.append(
-                    self._pool.submit(run_block, lo, min(lo + step, n)))
+                # each block runs in a copy of the caller's solve
+                # context: it sees this solve's tracer/registry/checker/
+                # token, and no other solve's
+                futures.append(self._pool.submit(
+                    partial(contextvars.copy_context().run, run_block),
+                    lo, min(lo + step, n)))
             psp.count("blocks_run", len(futures))
 
             self._join_or_raise(futures)
@@ -266,8 +272,9 @@ class ForkJoinPool:
             for lo in range(0, n, step):
                 if token is not None and token.cancelled:
                     break  # stop dispatching; drain blocks in flight
-                futures.append(
-                    self._pool.submit(run_block, lo, min(lo + step, n)))
+                futures.append(self._pool.submit(
+                    partial(contextvars.copy_context().run, run_block),
+                    lo, min(lo + step, n)))
             psp.count("blocks_run", len(futures))
             self._join_or_raise(futures)
             if token is not None:

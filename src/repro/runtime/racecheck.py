@@ -38,6 +38,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from .context import current_context, solve_scope
+
 # One fork step: (region id, block id).  A task's path is the tuple of
 # steps from the root to its block — the series-parallel coordinates.
 Step = tuple[int, int]
@@ -242,48 +244,26 @@ class RaceChecker:
             return len(self._accesses)
 
 
-# -- ambient installation (mirrors tracing/metering/cancel_scope) -------
-
-class _Active(threading.local):
-    checker: "RaceChecker | None" = None
-
-
-_ACTIVE = _Active()
-# the installing thread publishes here too, so pool worker threads (which
-# have fresh thread-locals) still see the checker
-_GLOBAL: list["RaceChecker | None"] = [None]
-
+# -- ambient installation (a field of the solve context) ---------------
 
 def current_race_checker() -> RaceChecker | None:
     """The ambient checker, or None (the common, zero-cost case)."""
-    c = _ACTIVE.checker
-    if c is not None:
-        return c
-    return _GLOBAL[0]
+    return current_context().race_checker
 
 
-@contextmanager
 def race_checking(checker: RaceChecker | None = None
-                  ) -> Iterator[RaceChecker]:
+                  ) -> solve_scope[RaceChecker]:
     """Install ``checker`` (a fresh one by default) as the ambient race
     checker for the dynamic extent of the block."""
-    if checker is None:
-        checker = RaceChecker()
-    prev_local, prev_global = _ACTIVE.checker, _GLOBAL[0]
-    _ACTIVE.checker = checker
-    _GLOBAL[0] = checker
-    try:
-        yield checker
-    finally:
-        _ACTIVE.checker = prev_local
-        _GLOBAL[0] = prev_global
+    checker = RaceChecker() if checker is None else checker
+    return solve_scope(checker, race_checker=checker)
 
 
 def race_read(obj: Any, lo: int | None = None, hi: int | None = None,
               *, label: str | None = None, site: str = "") -> None:
     """Record a shared read of ``obj`` (slice ``[lo:hi]``, or the whole
     object).  No-op unless a checker is installed."""
-    checker = current_race_checker()
+    checker = current_context().race_checker
     if checker is not None:
         checker.record(obj, READ, lo, hi, label, site)
 
@@ -292,7 +272,7 @@ def race_write(obj: Any, lo: int | None = None, hi: int | None = None,
                *, label: str | None = None, site: str = "") -> None:
     """Record a shared write to ``obj``.  No-op unless a checker is
     installed."""
-    checker = current_race_checker()
+    checker = current_context().race_checker
     if checker is not None:
         checker.record(obj, WRITE, lo, hi, label, site)
 

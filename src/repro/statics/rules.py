@@ -52,6 +52,7 @@ ORDERED_ITER_CONSUMERS = frozenset({
 
 CONTEXT_FACTORY_CALLS = frozenset({
     "trace_span", "tracing", "metering", "cancel_scope", "race_checking",
+    "solve_scope",
 })
 
 SET_METHODS = frozenset({"union", "intersection", "difference",
@@ -408,10 +409,10 @@ class RS004UnorderedIteration(Rule):
 class RS005ContextLeak(Rule):
     meta = RuleMeta(
         "RS005", "context-manager factory used outside `with`",
-        "trace_span/tracing/metering/cancel_scope/race_checking return "
-        "context managers; calling one without `with` leaks the span/"
-        "registry/scope on an exception path (the span never closes, the "
-        "ambient state never restores).")
+        "trace_span/tracing/metering/cancel_scope/race_checking/"
+        "solve_scope return context managers; calling one without `with` "
+        "leaks the span/registry/scope on an exception path (the span "
+        "never closes, the ambient state never restores).")
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

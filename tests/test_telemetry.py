@@ -308,6 +308,16 @@ class TestTelemetryHttp:
         # the scrape itself is metered
         assert "repro_scrapes_total" in reg.state()
 
+    def test_metrics_endpoint_serves_the_ambient_registry(self):
+        """``registry=None`` resolves on the thread that starts the
+        server; the serving thread has its own, empty solve context."""
+        reg = MetricsRegistry()
+        reg.inc("repro_test_elems_total", 3.0, backend="serial")
+        with metering(reg), TelemetryServer() as srv:
+            _, text = _get(srv.url("/metrics"))
+        assert _elems_total(parse_prometheus_text(text)) == 3.0
+        assert "repro_scrapes_total" in reg.state()
+
     def test_healthz_and_progress_schemas(self):
         reg = MetricsRegistry()
         tr = Tracer()
