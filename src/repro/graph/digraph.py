@@ -26,7 +26,8 @@ MAX_ABS_WEIGHT = 2 ** 53
 
 def _as_int64(a, name: str, *, max_abs: int | None = None) -> np.ndarray:
     """Validating cast to int64: rejects NaN/inf, fractional floats, and
-    (optionally) magnitudes with int64-overflow risk downstream."""
+    (optionally) magnitudes with int64-overflow risk downstream.  May
+    return ``a`` itself when it already is an int64 array."""
     arr = np.asarray(a)
     if arr.dtype == np.int64:
         out = arr
@@ -49,6 +50,14 @@ def _as_int64(a, name: str, *, max_abs: int | None = None) -> np.ndarray:
             f"{name} magnitude exceeds {max_abs} — int64 overflow risk in "
             "scaled/reduced weights")
     return out
+
+
+def _sorted_by_src_dst(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether the edges are already in ``(src, dst)`` order (O(m))."""
+    if len(src) < 2:
+        return True
+    s0, s1 = src[:-1], src[1:]
+    return bool(((s0 < s1) | ((s0 == s1) & (dst[:-1] <= dst[1:]))).all())
 
 
 class DiGraph:
@@ -85,12 +94,14 @@ class DiGraph:
         if len(src) and (src.min() < 0 or src.max() >= n
                          or dst.min() < 0 or dst.max() >= n):
             raise InputValidationError("edge endpoint out of range")
-        order = np.lexsort((dst, src))
         self.n = int(n)
         self.m = int(len(src))
-        self.src = src[order]
-        self.dst = dst[order]
-        self.w = w[order]
+        if _sorted_by_src_dst(src, dst):
+            # copies, so the caller's arrays never alias the graph's
+            self.src, self.dst, self.w = src.copy(), dst.copy(), w.copy()
+        else:
+            order = np.lexsort((dst, src))
+            self.src, self.dst, self.w = src[order], dst[order], w[order]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.src, minlength=n), out=self.indptr[1:])
         self.indices = self.dst
@@ -119,10 +130,13 @@ class DiGraph:
 
     def with_weights(self, w: np.ndarray) -> "DiGraph":
         """Same topology, new weights (aligned with edge ids)."""
+        w_in = w
         w = _as_int64(w, "edge weights", max_abs=MAX_ABS_WEIGHT)
         if len(w) != self.m:
             raise InputValidationError(
                 "weight array length must equal edge count")
+        if w is w_in:
+            w = w.copy()
         g = object.__new__(DiGraph)
         g.n, g.m = self.n, self.m
         g.src, g.dst, g.w = self.src, self.dst, w
@@ -180,30 +194,73 @@ class DiGraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
+    def _edge_subgraph(self, keep: np.ndarray, w: np.ndarray | None = None,
+                       n: int | None = None,
+                       new_id: np.ndarray | None = None) -> "DiGraph":
+        """The edges selected by boolean ``keep``, built without sorting.
+
+        ``w`` replaces the weights (aligned with this graph's edge ids);
+        ``new_id`` renumbers the vertices onto ``0 .. n-1`` and must be
+        increasing on every kept endpoint.  Filtering and a monotone
+        renumbering keep both the ``(src, dst)`` edge order and the
+        ``(dst, src)`` order of ``reids``, so the result equals
+        ``DiGraph(n, src, dst, w)`` on the kept edges, array for array.
+        """
+        g = object.__new__(DiGraph)
+        g.n = self.n if n is None else int(n)
+        src, dst = self.src[keep], self.dst[keep]
+        if new_id is not None:
+            src, dst = new_id[src], new_id[dst]
+        g.m = len(src)
+        g.src, g.dst = src, dst
+        g.w = self.w[keep] if w is None else _as_int64(
+            w[keep], "edge weights", max_abs=MAX_ABS_WEIGHT)
+        g.indptr = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=g.n), out=g.indptr[1:])
+        g.indices = dst
+        # new edge id of each kept edge, read in the parent's reverse order
+        pos = np.cumsum(keep, dtype=np.int64) - 1
+        g.reids = pos[self.reids[keep[self.reids]]]
+        g.rindices = src[g.reids]
+        g.rindptr = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=g.n), out=g.rindptr[1:])
+        return g
+
     def induced_subgraph(self, nodes: Sequence[int] | np.ndarray
                          ) -> "tuple[DiGraph, np.ndarray]":
         """Vertex-induced subgraph ``G[nodes]``.
 
         Returns ``(H, nodes_sorted)`` where ``H`` has ``len(nodes)`` vertices
         numbered by position in ``nodes_sorted`` (the sorted unique input).
-        Vectorised: membership mask + edge filtering + renumbering.
+        Vectorised: membership mask + edge filtering + a monotone
+        renumbering, so no edge is re-sorted.
         """
         nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         if len(nodes) and (nodes[0] < 0 or nodes[-1] >= self.n):
             raise InputValidationError("node out of range")
         in_sub = np.zeros(self.n, dtype=bool)
         in_sub[nodes] = True
-        # gather all out-edges of member vertices, keep those staying inside
+        # keep the edges with both ends inside
         keep = in_sub[self.src] & in_sub[self.dst]
         new_id = np.full(self.n, -1, dtype=np.int64)
         new_id[nodes] = np.arange(len(nodes), dtype=np.int64)
-        h = DiGraph(len(nodes), new_id[self.src[keep]],
-                    new_id[self.dst[keep]], self.w[keep])
-        return h, nodes
+        return self._edge_subgraph(keep, n=len(nodes), new_id=new_id), nodes
 
     def reversed(self) -> "DiGraph":
-        """The transpose graph."""
-        return DiGraph(self.n, self.dst, self.src, self.w)
+        """The transpose graph: the forward and reverse CSR swap roles.
+
+        Edge ``k`` of the transpose is edge ``reids[k]`` of this graph, so
+        its ``reids`` is the inverse permutation of this one's.
+        """
+        g = object.__new__(DiGraph)
+        g.n, g.m = self.n, self.m
+        g.src, g.dst = self.dst[self.reids], self.rindices
+        g.w = self.w[self.reids]
+        g.indptr, g.indices = self.rindptr, self.rindices
+        g.rindptr, g.rindices = self.indptr, self.indices
+        g.reids = np.empty(self.m, dtype=np.int64)
+        g.reids[self.reids] = np.arange(self.m, dtype=np.int64)
+        return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiGraph(n={self.n}, m={self.m})"

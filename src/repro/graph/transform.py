@@ -10,6 +10,7 @@ minimum weight (the correct semantics for shortest paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,8 @@ class Condensation:
     comp : np.ndarray
         Maps each original vertex to its component id.
     members : list[np.ndarray]
-        ``members[c]`` is the array of original vertices in component ``c``.
+        ``members[c]`` is the array of original vertices in component ``c``
+        (ascending), computed on first access.
     rep_eid : np.ndarray
         For each contracted edge id, one *original* edge id achieving the
         minimum weight — used to expand paths/cycles back to the original
@@ -50,12 +52,19 @@ class Condensation:
 
     graph: DiGraph
     comp: np.ndarray
-    members: list
     rep_eid: np.ndarray
 
     @property
     def n_components(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        order = np.argsort(self.comp, kind="stable")
+        bounds = np.searchsorted(self.comp[order],
+                                 np.arange(self.n_components + 1))
+        return [order[bounds[c]:bounds[c + 1]]
+                for c in range(self.n_components)]
 
 
 def condense(g: DiGraph, comp: np.ndarray,
@@ -64,7 +73,9 @@ def condense(g: DiGraph, comp: np.ndarray,
 
     ``weights`` overrides ``g.w`` (e.g. reduced weights) without copying the
     topology.  Fully vectorised: a lexsort groups parallel contracted edges
-    so the first edge of each group is the minimum-weight representative.
+    so the first edge of each group is the minimum-weight representative;
+    the surviving pairs are then sorted and unique, already in the
+    contracted graph's edge-id order.
     """
     comp = np.asarray(comp, dtype=np.int64)
     if len(comp) != g.n:
@@ -84,30 +95,15 @@ def condense(g: DiGraph, comp: np.ndarray,
     orig_eids = np.flatnonzero(cross)
 
     if len(csrc):
-        order = np.lexsort((wc, cdst, csrc))
-        csrc, cdst, wc = csrc[order], cdst[order], wc[order]
-        orig_eids = orig_eids[order]
-        first = np.r_[True, (csrc[1:] != csrc[:-1]) | (cdst[1:] != cdst[:-1])]
+        # one int64 key orders the pairs like (csrc, cdst): both are < nc
+        pair = csrc * nc + cdst
+        order = np.lexsort((wc, pair))
+        pair = pair[order]
+        first = order[np.r_[True, pair[1:] != pair[:-1]]]
         csrc, cdst, wc = csrc[first], cdst[first], wc[first]
         orig_eids = orig_eids[first]
 
-    cg = DiGraph(nc, csrc, cdst, wc)
-    # DiGraph construction re-sorts by (src, dst); realign rep_eid with it.
-    if len(csrc):
-        resort = np.lexsort((cdst, csrc))
-        rep_eid = orig_eids[resort]
-    else:
-        rep_eid = np.empty(0, dtype=np.int64)
-
-    members_order = np.argsort(comp, kind="stable")
-    sorted_comp = comp[members_order]
-    members: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * nc
-    if len(sorted_comp):
-        bounds = np.flatnonzero(np.r_[True, sorted_comp[1:] != sorted_comp[:-1]])
-        for idx, start in enumerate(bounds):
-            stop = bounds[idx + 1] if idx + 1 < len(bounds) else len(sorted_comp)
-            members[int(sorted_comp[start])] = members_order[start:stop]
-    return Condensation(cg, comp, members, rep_eid)
+    return Condensation(DiGraph(nc, csrc, cdst, wc), comp, orig_eids)
 
 
 def edge_subgraph_mask(g: DiGraph, mask: np.ndarray) -> DiGraph:
@@ -116,7 +112,7 @@ def edge_subgraph_mask(g: DiGraph, mask: np.ndarray) -> DiGraph:
     mask = np.asarray(mask, dtype=bool)
     if len(mask) != g.m:
         raise ValueError("mask must align with edge ids")
-    return DiGraph(g.n, g.src[mask], g.dst[mask], g.w[mask])
+    return g._edge_subgraph(mask)
 
 
 def leq_zero_subgraph(g: DiGraph, weights: np.ndarray | None = None
@@ -128,9 +124,4 @@ def leq_zero_subgraph(g: DiGraph, weights: np.ndarray | None = None
     """
     w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
     keep = w <= 0
-    eids = np.flatnonzero(keep)
-    src, dst, ww = g.src[eids], g.dst[eids], w[eids]
-    sub = DiGraph(g.n, src, dst, ww)
-    # realign eids with the subgraph's internal (src, dst) sort
-    resort = np.lexsort((dst, src))
-    return sub, eids[resort]
+    return g._edge_subgraph(keep, w), np.flatnonzero(keep)

@@ -62,11 +62,10 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         centers = rng.choice(live_ids, size=take, replace=False)
         local.charge_cost(model.map(len(live_ids)))
         # restrict to intra-block live edges; center labels cannot escape
-        # their blocks
+        # their blocks (reachability ignores the weights the subgraph keeps)
         keep = live[g.src] & live[g.dst] & (block[g.src] == block[g.dst])
         local.charge_cost(model.pack(g.m))
-        sub = DiGraph(g.n, g.src[keep], g.dst[keep],
-                      np.zeros(int(keep.sum()), dtype=np.int64))
+        sub = g._edge_subgraph(keep)
         fwd = multisource_reachability_min(sub, centers, local, model).pi
         bwd = multisource_reachability_min(sub.reversed(), centers, local,
                                            model).pi
@@ -82,10 +81,12 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         # split survivors by (block, fwd winner, bwd winner)
         survivors = np.flatnonzero(live)
         if len(survivors):
-            key = np.stack([block[survivors], fwd[survivors],
-                            bwd[survivors]])
-            _, new_block = np.unique(key, axis=1, return_inverse=True)
-            block[survivors] = new_block
+            b, f, r = block[survivors], fwd[survivors], bwd[survivors]
+            order = np.lexsort((r, f, b))
+            b, f, r = b[order], f[order], r[order]
+            starts = np.r_[True, (b[1:] != b[:-1]) | (f[1:] != f[:-1])
+                           | (r[1:] != r[:-1])]
+            block[survivors[order]] = np.cumsum(starts) - 1
             local.charge_cost(model.sort(len(survivors)))
         batch = min(batch * 2, max(int(live.sum()), 1))
     if acc is not None:

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import CostAccumulator
+from .metrics import Cost, CostAccumulator
 from .model import CostModel, DEFAULT_MODEL
 from .racecheck import race_read, race_write
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
 
 class SortedIntSet:
@@ -94,11 +98,13 @@ class SortedIntSet:
 
 
 class SetVector:
-    """A vector of :class:`SortedIntSet`, one per identifier (§4.3).
+    """A vector of ordered int64 sets, one per identifier (§4.3).
 
     Supports the operations Lemma 14 relies on: O(#sets) initialisation,
     batched adds, gathering the union of ``t`` identified sets into a flat
-    array with linear work, and emptying identified sets.
+    array with linear work, and emptying identified sets.  Each set is a
+    sorted duplicate-free array with :class:`SortedIntSet`'s semantics and
+    charges; the empty sets share one read-only array.
     """
 
     __slots__ = ("_sets",)
@@ -108,7 +114,7 @@ class SetVector:
                  model: CostModel = DEFAULT_MODEL) -> None:
         if acc is not None:
             acc.charge_cost(model.map(n_sets))
-        self._sets: list[SortedIntSet] = [SortedIntSet() for _ in range(n_sets)]
+        self._sets: list[np.ndarray] = [_EMPTY] * n_sets
 
     def __len__(self) -> int:
         return len(self._sets)
@@ -116,7 +122,16 @@ class SetVector:
     def add_batch(self, ident: int, keys: np.ndarray,
                   acc: CostAccumulator | None = None,
                   model: CostModel = DEFAULT_MODEL) -> None:
-        self._sets[ident].merge(np.asarray(keys, dtype=np.int64), acc, model)
+        """Union ``keys`` into set ``ident``."""
+        race_write(self, ident, ident + 1, label="SetVector",
+                   site="pset.add_batch")
+        arr = np.unique(np.asarray(keys, dtype=np.int64))
+        cur = self._sets[ident]
+        if acc is not None:
+            small, big = sorted((len(arr), len(cur)))
+            acc.charge_cost(model.set_merge(small, big))
+        if len(arr):
+            self._sets[ident] = np.union1d(cur, arr) if len(cur) else arr
 
     def size(self, ident: int) -> int:
         return len(self._sets[ident])
@@ -126,7 +141,8 @@ class SetVector:
                model: CostModel = DEFAULT_MODEL) -> np.ndarray:
         """Flat array of all elements across the identified sets."""
         race_read(self, label="SetVector", site="pset.gather")
-        parts = [self._sets[int(i)]._data for i in idents]
+        parts = [self._sets[i] for i in np.asarray(idents, dtype=np.int64)
+                 .tolist()]
         total = sum(len(p) for p in parts)
         if acc is not None:
             acc.charge_cost(model.scan(len(parts)))
@@ -138,6 +154,15 @@ class SetVector:
     def clear_many(self, idents: np.ndarray | list[int],
                    acc: CostAccumulator | None = None,
                    model: CostModel = DEFAULT_MODEL) -> None:
+        """Empty the identified sets, charging one enumeration per set."""
         race_write(self, label="SetVector", site="pset.clear_many")
-        for i in idents:
-            self._sets[int(i)].clear(acc, model)
+        sets = self._sets
+        charges: dict[int, Cost] = {}
+        for i in np.asarray(idents, dtype=np.int64).tolist():
+            if acc is not None:
+                size = len(sets[i])
+                cost = charges.get(size)
+                if cost is None:
+                    cost = charges[size] = model.set_enumerate(size)
+                acc.charge_cost(cost)
+            sets[i] = _EMPTY

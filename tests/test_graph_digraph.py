@@ -58,6 +58,22 @@ class TestConstruction:
         assert g.has_edge(0, 0)
 
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    @pytest.mark.parametrize("presorted", [True, False])
+    def test_caller_arrays_not_aliased(self, dtype, presorted):
+        src = np.array([0, 0, 1, 2, 3], dtype=dtype)
+        dst = np.array([1, 2, 3, 3, 0], dtype=dtype)
+        w = np.array([5, 3, 1, -2, 0], dtype=dtype)
+        if not presorted:
+            src, dst, w = src[::-1].copy(), dst[::-1].copy(), w[::-1].copy()
+        g = DiGraph(4, src, dst, w)
+        before = [getattr(g, name).copy() for name in DiGraph.__slots__[2:]]
+        src[:], dst[:], w[:] = 0, 0, -7
+        for name, arr in zip(DiGraph.__slots__[2:], before):
+            np.testing.assert_array_equal(getattr(g, name), arr,
+                                          err_msg=name)
+
+
 class TestAdjacency:
     def test_successors(self):
         g = small_graph()
@@ -102,6 +118,13 @@ class TestDerived:
         h = g.with_weights(np.zeros(g.m, dtype=np.int64))
         assert h.w.tolist() == [0] * 5
         assert h.indptr is g.indptr  # topology shared
+
+    def test_with_weights_copies_int64_input(self):
+        g = small_graph()
+        w = np.arange(g.m, dtype=np.int64)
+        h = g.with_weights(w)
+        w[0] = -99
+        assert h.w.tolist() == list(range(g.m))
 
     def test_with_weights_length_check(self):
         with pytest.raises(ValueError):

@@ -42,6 +42,17 @@ def mixed_graphs(draw):
 
 
 @st.composite
+def multi_graphs(draw):
+    """Edges drawn as raw triples in arbitrary order over few vertices, so
+    parallel edges (with differing weights) and self-loops are common."""
+    n = draw(st.integers(1, 6))
+    v = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(v, v, st.integers(-2, 5)),
+                          max_size=4 * n + 4))
+    return DiGraph.from_edges(n, edges)
+
+
+@st.composite
 def reweighting_graphs(draw):
     return small_graph(draw, w_min=-1, w_max=4)
 
@@ -142,12 +153,90 @@ class TestLimitedInvariants:
                                       expected)
 
 
+def assert_same_graph(h, ref):
+    """All ten ``__slots__`` of ``h`` equal those of ``ref``, array for
+    array (edge-id order included)."""
+    for name in DiGraph.__slots__:
+        a, b = getattr(h, name), getattr(ref, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype == np.int64, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        else:
+            assert a == b, name
+
+
+@st.composite
+def graph_and_edge_data(draw):
+    """A multigraph, a boolean edge mask and a second weight array."""
+    g = draw(multi_graphs())
+    mask = np.array(draw(st.lists(st.booleans(), min_size=g.m,
+                                  max_size=g.m)), dtype=bool)
+    w2 = np.array(draw(st.lists(st.integers(-3, 3), min_size=g.m,
+                                max_size=g.m)), dtype=np.int64)
+    return g, mask, w2
+
+
 class TestGraphAlgebra:
-    @given(mixed_graphs())
-    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(mixed_graphs(), multi_graphs()))
+    @settings(max_examples=60, deadline=None)
     def test_reverse_involution(self, g):
-        rr = g.reversed().reversed()
-        assert sorted(g.edges()) == sorted(rr.edges())
+        r = g.reversed()
+        assert_same_graph(r, DiGraph(g.n, g.dst, g.src, g.w))
+        assert_same_graph(r.reversed(), g)
+
+    @given(st.one_of(mixed_graphs(), multi_graphs()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_induced_subgraph_equals_rebuilt(self, g, data):
+        nodes = np.array(data.draw(st.lists(st.integers(0, g.n - 1))),
+                         dtype=np.int64)
+        h, kept = g.induced_subgraph(nodes)
+        new_id = np.full(g.n, -1, dtype=np.int64)
+        new_id[kept] = np.arange(len(kept))
+        keep = (new_id[g.src] >= 0) & (new_id[g.dst] >= 0)
+        assert_same_graph(h, DiGraph(len(kept), new_id[g.src[keep]],
+                                     new_id[g.dst[keep]], g.w[keep]))
+
+    @given(graph_and_edge_data())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_subgraphs_equal_rebuilt(self, case):
+        from repro.graph import edge_subgraph_mask, leq_zero_subgraph
+
+        g, mask, w2 = case
+        for w in (g.w, w2):
+            assert_same_graph(
+                edge_subgraph_mask(g.with_weights(w), mask),
+                DiGraph(g.n, g.src[mask], g.dst[mask], w[mask]))
+        for weights, w in ((None, g.w), (w2, w2)):
+            sub, eids = leq_zero_subgraph(g, weights)
+            np.testing.assert_array_equal(eids, np.flatnonzero(w <= 0))
+            assert_same_graph(sub, DiGraph(g.n, g.src[eids], g.dst[eids],
+                                           w[eids]))
+
+    @given(graph_and_edge_data(), st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_condensation_equals_rebuilt(self, case, seed):
+        from repro.graph import condense
+        from repro.reach import scc
+
+        g, _, w2 = case
+        comp = scc(g, seed=seed).comp
+        for weights, w in ((None, g.w), (w2, w2)):
+            c = condense(g, comp, weights)
+            best: dict[tuple[int, int], int] = {}
+            for cu, cv, ww in zip(comp[g.src].tolist(), comp[g.dst].tolist(),
+                                  w.tolist()):
+                if cu != cv:
+                    best[cu, cv] = min(ww, best.get((cu, cv), ww))
+            ref = DiGraph.from_edges(
+                c.n_components, [(u, v, ww) for (u, v), ww in best.items()])
+            assert_same_graph(c.graph, ref)
+            rep = c.rep_eid
+            np.testing.assert_array_equal(comp[g.src[rep]], c.graph.src)
+            np.testing.assert_array_equal(comp[g.dst[rep]], c.graph.dst)
+            np.testing.assert_array_equal(w[rep], c.graph.w)
+            for k, members in enumerate(c.members):
+                np.testing.assert_array_equal(members,
+                                              np.flatnonzero(comp == k))
 
     @given(mixed_graphs(), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
