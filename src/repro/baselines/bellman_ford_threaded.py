@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.digraph import DiGraph
+from ..resilience.errors import InputValidationError
 from ..runtime.executor import ForkJoinPool
 from ..runtime.racecheck import race_read, race_write
 from .bellman_ford import BellmanFordResult, bellman_ford
@@ -51,7 +52,7 @@ def bellman_ford_parallel(g: DiGraph, source: int, backend=None,
     :class:`~repro.runtime.backends.DegradationLadder`).  ``backend=None``
     falls back to the sequential reference implementation."""
     if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+        raise InputValidationError("source out of range")
     if backend is None:
         return bellman_ford(g, source, weights)
     w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)

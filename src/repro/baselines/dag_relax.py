@@ -14,6 +14,7 @@ import numpy as np
 
 from ..graph.digraph import DiGraph
 from ..graph.validate import topological_order
+from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 
@@ -29,10 +30,10 @@ def dag_sssp(g: DiGraph, source: int, weights: np.ndarray | None = None,
              model: CostModel = DEFAULT_MODEL) -> DagSsspResult:
     """Exact SSSP on a DAG (raises ``ValueError`` if ``g`` is cyclic)."""
     if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+        raise InputValidationError("source out of range")
     order = topological_order(g)
     if order is None:
-        raise ValueError("dag_sssp requires an acyclic graph")
+        raise InputValidationError("dag_sssp requires an acyclic graph")
     w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)
          ).astype(np.float64)
     acc = CostAccumulator()

@@ -268,13 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "check",
-        help="static determinism lint (RS001-RS010), interprocedural "
-             "flow analysis (RS011-RS015), and fork-join race check; "
-             "exits 6 on findings")
+        help="static lint (RS001-RS010, RS012, RS015) and fork-join "
+             "race check; exits 6 on findings")
     pc.add_argument("--lint", action="store_true",
-                    help="run only the per-module static rules")
-    pc.add_argument("--flow", action="store_true",
-                    help="run only the interprocedural flow rules")
+                    help="run only the static rules")
     pc.add_argument("--race", action="store_true",
                     help="run only the race probes")
     pc.add_argument("--format", choices=("text", "json"), default="text")
@@ -741,30 +738,22 @@ def cmd_check(args) -> int:
     import json as _json
 
     from .statics import lint_paths, rules_by_id, run_race_probes
-    from .statics.engine import Baseline, ProjectRule
+    from .statics.engine import Baseline
 
-    explicit = args.lint or args.race or args.flow
+    explicit = args.lint or args.race
     do_lint = args.lint or not explicit
-    do_flow = args.flow or not explicit
     do_race = args.race or not explicit
 
     payload: dict = {"schema": "repro-check/1"}
     ok = True
 
-    if do_lint or do_flow:
+    if do_lint:
         try:
-            if args.rules:
-                chosen = rules_by_id(args.rules.split(","))
-            else:
-                from .statics import ALL_RULES, FLOW_RULES
-                chosen = tuple(ALL_RULES) + tuple(FLOW_RULES)
+            rules = rules_by_id(args.rules.split(",") if args.rules
+                                else None)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
-        lint_rules = tuple(r for r in chosen
-                           if not isinstance(r, ProjectRule))
-        flow_rules = tuple(r for r in chosen
-                           if isinstance(r, ProjectRule))
         baseline = None
         baseline_path = (pathlib.Path(args.baseline) if args.baseline
                          else DEFAULT_STATICS_BASELINE)
@@ -779,26 +768,15 @@ def cmd_check(args) -> int:
             print(f"error: baseline {baseline_path} not found",
                   file=sys.stderr)
             return EXIT_INVALID_INPUT
-        # each plane runs its own pass against the shared baseline
-        # (stale detection is rule-filtered, so a subset run is safe);
-        # with an explicit --rules list, a plane with no matching rules
-        # is skipped rather than silently running everything
-        planes = []
-        if do_lint and (lint_rules or not args.rules):
-            planes.append(("lint", lint_rules))
-        if do_flow and (flow_rules or not args.rules):
-            planes.append(("flow", flow_rules))
-        for plane, plane_rules in planes:
-            try:
-                rep = lint_paths(args.paths, rules=plane_rules,
-                                 baseline=baseline)
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INVALID_INPUT
-            payload[plane] = rep.to_json()
-            ok = ok and rep.ok
-            if args.format == "text":
-                print(rep.render())
+        try:
+            rep = lint_paths(args.paths, rules=rules, baseline=baseline)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
+        payload["lint"] = rep.to_json()
+        ok = rep.ok
+        if args.format == "text":
+            print(rep.render())
     if do_race:
         try:
             pool_sizes = tuple(

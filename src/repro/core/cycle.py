@@ -22,9 +22,10 @@ from ..graph.digraph import DiGraph
 from ..graph.transform import Condensation
 from ..graph.validate import validate_negative_cycle
 from ..reach.multisource import bfs_parents, path_from_parents
+from ..resilience.errors import ReproError
 
 
-class CycleExtractionError(RuntimeError):
+class CycleExtractionError(ReproError, RuntimeError):
     """No negative cycle could be produced despite a positive detection."""
 
 

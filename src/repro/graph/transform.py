@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..resilience.errors import InputValidationError
 from .digraph import DiGraph
 
 
@@ -25,7 +26,8 @@ def reweight(g: DiGraph, price: np.ndarray) -> np.ndarray:
     """
     price = np.asarray(price, dtype=np.int64)
     if len(price) != g.n:
-        raise ValueError("price function must have one entry per vertex")
+        raise InputValidationError(
+            "price function must have one entry per vertex")
     return g.w + price[g.src] - price[g.dst]
 
 
@@ -79,13 +81,13 @@ def condense(g: DiGraph, comp: np.ndarray,
     """
     comp = np.asarray(comp, dtype=np.int64)
     if len(comp) != g.n:
-        raise ValueError("component labels must cover every vertex")
+        raise InputValidationError("component labels must cover every vertex")
     w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
     if len(w) != g.m:
-        raise ValueError("weights must align with edge ids")
+        raise InputValidationError("weights must align with edge ids")
     nc = int(comp.max()) + 1 if g.n else 0
     if g.n and comp.min() < 0:
-        raise ValueError("component ids must be nonnegative")
+        raise InputValidationError("component ids must be nonnegative")
 
     csrc = comp[g.src]
     cdst = comp[g.dst]

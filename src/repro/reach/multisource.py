@@ -23,6 +23,7 @@ from ..graph.csr import out_edge_slots
 from ..graph.digraph import DiGraph
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
+from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 
@@ -48,7 +49,7 @@ def multisource_reachability(g: DiGraph, sources: np.ndarray,
     """
     sources = np.unique(np.asarray(sources, dtype=np.int64))
     if len(sources) and (sources[0] < 0 or sources[-1] >= g.n):
-        raise ValueError("source out of range")
+        raise InputValidationError("source out of range")
     local = CostAccumulator()
     # the span binds to the *caller's* accumulator and closes after the
     # fold below, so its span_model delta is the substituted black-box
@@ -100,7 +101,7 @@ def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
     """
     sources = np.unique(np.asarray(sources, dtype=np.int64))
     if len(sources) and (sources[0] < 0 or sources[-1] >= g.n):
-        raise ValueError("source out of range")
+        raise InputValidationError("source out of range")
     local = CostAccumulator()
     with trace_span("reach", acc=acc if acc is not None else local,
                     phase="reach", n=g.n, m=g.m, sources=len(sources),
@@ -149,7 +150,7 @@ def bfs_parents(g: DiGraph, source: int,
     needs *some* path, so BFS parents suffice.
     """
     if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+        raise InputValidationError("source out of range")
     local = CostAccumulator()
     parent = np.full(g.n, -1, dtype=np.int64)
     seen = np.zeros(g.n, dtype=bool)

@@ -14,7 +14,7 @@ propagates straight to the graceful-degradation layer in
 from __future__ import annotations
 
 from ..runtime.metrics import Cost, CostAccumulator
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputValidationError
 
 
 class BudgetGuard:
@@ -25,9 +25,9 @@ class BudgetGuard:
     def __init__(self, max_work: float | None = None,
                  max_span: float | None = None) -> None:
         if max_work is not None and max_work < 0:
-            raise ValueError("max_work must be nonnegative")
+            raise InputValidationError("max_work must be nonnegative")
         if max_span is not None and max_span < 0:
-            raise ValueError("max_span must be nonnegative")
+            raise InputValidationError("max_span must be nonnegative")
         self.max_work = max_work
         self.max_span = max_span
         self.spent_work = 0.0

@@ -33,7 +33,11 @@ import time
 from typing import Callable
 
 from ..runtime.context import current_context, solve_scope
-from .errors import CancelledError, DeadlineExceededError
+from .errors import (
+    CancelledError,
+    DeadlineExceededError,
+    InputValidationError,
+)
 
 
 class Deadline:
@@ -175,7 +179,8 @@ def make_token(deadline: "Deadline | float | None" = None,
     if token is None:
         return CancelToken(deadline)
     if token.deadline is not None and token.deadline is not deadline:
-        raise ValueError("token already carries a different deadline")
+        raise InputValidationError(
+            "token already carries a different deadline")
     token.deadline = deadline
     return token
 

@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..runtime.rng import derive_seed
-from .errors import RetryExhaustedError, VerificationError
+from .errors import (
+    InputValidationError,
+    RetryExhaustedError,
+    VerificationError,
+)
 
 # salt separating retry-derived seeds from the per-scale/per-iteration
 # seed derivations already used by the scaling loop
@@ -47,7 +51,7 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise InputValidationError("max_attempts must be >= 1")
 
     def attempt_seed(self, seed: int, attempt: int) -> int:
         """Seed for the given attempt: attempt 0 preserves the caller's

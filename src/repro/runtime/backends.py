@@ -332,11 +332,11 @@ class ProcessForkJoinPool:
         if n_workers is None:
             n_workers = min(8, os.cpu_count() or 1)
         if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+            raise InputValidationError("n_workers must be >= 1")
         if liveness_timeout <= 0:
-            raise ValueError("liveness_timeout must be > 0")
+            raise InputValidationError("liveness_timeout must be > 0")
         if max_dispatches < 1:
-            raise ValueError("max_dispatches must be >= 1")
+            raise InputValidationError("max_dispatches must be >= 1")
         self.n_workers = n_workers
         self.grain = grain
         self.heartbeat_interval = heartbeat_interval
@@ -448,7 +448,7 @@ class ProcessForkJoinPool:
                    grain: int | None = None,
                    token: CancelToken | None = None) -> list:
         if self._closed:
-            raise RuntimeError("map_blocks on a shut-down "
+            raise RuntimeError("map_blocks on a shut-down "  # repro: noqa[RS014] use after shutdown is a caller bug: kept outside the taxonomy so no retry, demotion or fallback loop can absorb it
                                "ProcessForkJoinPool")
         if token is None:
             token = current_token()
@@ -816,7 +816,7 @@ class DegradationLadder:
 
     def __init__(self, rungs: list[tuple[str, Any]]) -> None:
         if not rungs:
-            raise ValueError("ladder needs at least one rung")
+            raise InputValidationError("ladder needs at least one rung")
         self._rungs = rungs              # [(name, factory-or-instance)]
         self._instances: dict[int, Any] = {}
         self._rung = 0

@@ -36,6 +36,7 @@ from typing import Any, Callable
 
 from ..observability.metrics import metric_inc
 from ..observability.tracer import current_tracer, trace_span
+from ..resilience.errors import InputValidationError
 from ..resilience.preempt import CancelToken, current_token
 from .racecheck import RaceChecker, current_race_checker
 
@@ -85,7 +86,7 @@ class ForkJoinPool:
         if n_workers is None:
             n_workers = min(8, os.cpu_count() or 1)
         if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+            raise InputValidationError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.grain = grain
         self._pool: ThreadPoolExecutor | None = (
@@ -225,7 +226,7 @@ class ForkJoinPool:
         :meth:`parallel_for`.
         """
         if self._closed:
-            raise RuntimeError("map_blocks on a shut-down ForkJoinPool")
+            raise RuntimeError("map_blocks on a shut-down ForkJoinPool")  # repro: noqa[RS014] use after shutdown is a caller bug: kept outside the taxonomy so no retry, demotion or fallback loop can absorb it
         if token is None:
             token = current_token()
         if token is not None:

@@ -110,7 +110,9 @@ class CostAccumulator:
         if span_model is None:
             span_model = span
         if work < 0 or span < 0 or span_model < 0:
-            raise ValueError("costs must be nonnegative")
+            # deferred: repro.resilience imports this module
+            from ..resilience.errors import InputValidationError
+            raise InputValidationError("costs must be nonnegative")
         self.work += work
         self.span += span
         self.span_model += span_model

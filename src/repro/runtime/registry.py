@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
+from ..resilience.errors import InputValidationError
+
 Factory = Callable[..., Any]
 
 
@@ -56,7 +58,7 @@ class Registry:
         try:
             factory = self._factories[name]
         except KeyError:
-            raise ValueError(
+            raise InputValidationError(
                 f"unknown {self.kind} {name!r}; choose from "
                 f"{self.names()}") from None
         return factory(**kwargs)

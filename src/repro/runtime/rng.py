@@ -35,12 +35,13 @@ def geometric_priorities(n: int, rng: np.random.Generator,
     "geometric distribution with a rounded tail").  Priorities are fixed for
     the lifetime of a peeling run.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if cap is None:
         cap = priority_cap(max(n, 1))
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if n < 0 or cap < 1:
+        # deferred: repro.resilience imports this module
+        from ..resilience.errors import InputValidationError
+        raise InputValidationError("n must be nonnegative" if n < 0
+                                   else "cap must be >= 1")
     u = rng.random(n)
     # u uniform in [0,1): priority i iff u in [2^-i, 2^-(i-1)) => i = floor(-lg u)+1
     with np.errstate(divide="ignore"):

@@ -1,4 +1,4 @@
-"""Project-specific static analysis (``repro check --lint``).
+"""Project-specific static analysis (``repro check``).
 
 The reproduction's headline claims live in the binary-forking work–span
 model, and its regression gates (``repro bench compare``,
@@ -15,11 +15,18 @@ This package turns those invariants from review lore into machine-checked
 rules: :mod:`repro.statics.engine` is a small AST rule engine (per-rule
 metadata, ``# repro: noqa[RULE]`` inline suppressions, a committed
 ``statics_baseline.json`` for grandfathered findings) and
-:mod:`repro.statics.rules` holds the codebase-specific rules RS001–RS010.
+:mod:`repro.statics.rules` holds the codebase-specific module rules
+RS001–RS010, RS012 (block purity) and RS015 (unbounded loops).
 :mod:`repro.statics.races` is the companion *dynamic* checker: it drives
 representative solves under the
 :class:`~repro.runtime.racecheck.RaceChecker` shadow-memory mode and
-reports fork–join conflicts (``repro check --race``).
+reports fork–join conflicts (``repro check --race``);
+:func:`~repro.statics.races.cross_validate_rs012` keeps static RS012 a
+superset of what the probes find.
+
+The engine contract (charge, span, cancellation), task pickling, and the
+exception taxonomy on solver paths are checked by *executing* the
+engines, in ``tests/test_engine_conformance.py``.
 """
 
 from .engine import (
@@ -27,31 +34,31 @@ from .engine import (
     Finding,
     LintReport,
     ModuleContext,
-    ProjectRule,
     Rule,
     RuleMeta,
     lint_paths,
     lint_source,
     run_lint,
 )
-from .flow import FLOW_RULES, cross_validate_rs012, flow_rules_by_id
-from .races import RACE_PROBES, RaceCheckReport, run_race_probes
+from .races import (
+    RACE_PROBES,
+    RaceCheckReport,
+    cross_validate_rs012,
+    run_race_probes,
+)
 from .rules import ALL_RULES, rules_by_id
 
 __all__ = [
     "ALL_RULES",
-    "FLOW_RULES",
     "Baseline",
     "Finding",
     "LintReport",
     "ModuleContext",
-    "ProjectRule",
     "RACE_PROBES",
     "RaceCheckReport",
     "Rule",
     "RuleMeta",
     "cross_validate_rs012",
-    "flow_rules_by_id",
     "lint_paths",
     "lint_source",
     "rules_by_id",

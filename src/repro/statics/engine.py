@@ -180,24 +180,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that inspects the *whole project*, not one module.
-
-    Project rules (the interprocedural RS011–RS015 family in
-    :mod:`repro.statics.flow`) run after every module is parsed: the
-    engine builds one :class:`~repro.statics.flow.project.ProjectContext`
-    over all contexts and calls :meth:`check_project` once.  Findings
-    still anchor to a (path, line) pair, so noqa and baseline
-    suppression work unchanged.
-    """
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, project: "object") -> Iterable[Finding]:
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------
@@ -351,8 +333,8 @@ def _apply_suppressions(raw: list[Finding], ctx_by_path: dict[str,
         report.findings.append(f)
     if baseline is not None:
         # only entries whose rule actually ran can be judged stale: a
-        # subset run (e.g. the flow plane alone) must not condemn the
-        # other plane's grandfathered findings
+        # subset run (``--rules RS004``) must not condemn the other
+        # rules' grandfathered findings
         ran = set(report.rules_run)
         report.stale_baseline = [e for e in baseline.entries
                                  if e.fingerprint not in matched_fps
@@ -361,28 +343,16 @@ def _apply_suppressions(raw: list[Finding], ctx_by_path: dict[str,
 
 def run_lint(contexts: Sequence[ModuleContext], rules: Sequence[Rule],
              baseline: Baseline | None = None) -> LintReport:
-    """Run ``rules`` over already-parsed module contexts.
-
-    Module rules see each context in turn; :class:`ProjectRule`\\ s see
-    one project context built over all of them (the interprocedural
-    pass parses nothing new — it reuses the same trees).
-    """
+    """Run ``rules`` over already-parsed module contexts."""
     report = LintReport(files_checked=len(contexts),
                         rules_run=[r.meta.id for r in rules],
                         rule_meta={r.meta.id: r.meta for r in rules})
     raw: list[Finding] = []
     ctx_by_path: dict[str, ModuleContext] = {}
-    module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     for ctx in contexts:
         ctx_by_path[ctx.path] = ctx
-        for rule in module_rules:
+        for rule in rules:
             raw.extend(rule.check(ctx))
-    if project_rules:
-        from .flow.project import ProjectContext
-        project = ProjectContext(contexts)
-        for prule in project_rules:
-            raw.extend(prule.check_project(project))
     _apply_suppressions(raw, ctx_by_path, baseline, report)
     return report
 

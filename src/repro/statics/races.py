@@ -23,18 +23,26 @@ The probes cover each family of shared-memory use in the codebase:
   probe set and exists so tests (and ``--probe racy-demo``) can prove
   the checker actually fires: it must report write–write conflicts at
   every pool size.
+
+:func:`cross_validate_rs012` runs every probe, the hidden one included,
+next to the static RS012 rule and asserts containment: each site the
+dynamic checker reports must also appear in an RS012 finding.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from ..runtime.executor import ForkJoinPool
 from ..runtime.racecheck import RaceReport, checked, race_read, race_write
+from .engine import lint_paths
+from .rules import rules_by_id
 
 ProbeFn = Callable[[ForkJoinPool], None]
 
@@ -175,7 +183,7 @@ def _probe_racy_demo(pool: ForkJoinPool) -> None:
     def body(lo: int, hi: int) -> None:
         race_read(data, lo, hi, site="racy.histogram:data")
         # the bug: blocks share the bins with no reduction step
-        race_write(hist, 0, 16, site="racy.histogram:bins")  # repro: noqa[RS012] deliberately racy fixture — RS012 must see this overlap (the cross-validation harness asserts it does), but the probe exists to prove the *dynamic* checker fires
+        race_write(hist, 0, 16, site="racy.histogram:bins")  # repro: noqa[RS012] deliberately racy fixture — RS012 must see this overlap (cross_validate_rs012 asserts it does), but the probe exists to prove the *dynamic* checker fires
         np.add.at(hist, data[lo:hi], 1)
 
     pool.parallel_for(len(data), body, grain=1024)
@@ -277,4 +285,59 @@ def run_race_probes(probes: list[str] | None = None,
                     out.runs.append(ProbeRun(
                         name, size, RaceReport(),
                         error=f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# static RS012 ⊇ dynamic probes
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CrossValidation:
+    """Outcome of one static ⊇ dynamic containment check."""
+
+    dynamic_sites: list[str] = field(default_factory=list)
+    matched: dict[str, str] = field(default_factory=dict)  # site -> msg
+    missing: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing
+
+    def render(self) -> str:
+        lines = [f"dynamic race sites: {len(self.dynamic_sites)}, "
+                 f"statically matched: {len(self.matched)}, "
+                 f"missing: {len(self.missing)}"]
+        for site in self.missing:
+            lines.append(f"  UNMATCHED dynamic site {site!r} — RS012 "
+                         "reported nothing mentioning it")
+        return "\n".join(lines)
+
+
+def cross_validate_rs012(
+        roots: Sequence[str | Path] = ("src",),
+        pool_sizes: tuple[int, ...] = (2,),
+        relative_to: str | Path | None = None) -> CrossValidation:
+    """Every conflict the dynamic probes report (the hidden ``racy-demo``
+    included) must name a ``site=`` that an RS012 finding — active or
+    suppressed, either proves the rule saw it — also names."""
+    dynamic = run_race_probes(probe_names(include_hidden=True),
+                              pool_sizes=pool_sizes)
+    static = lint_paths(roots, rules=rules_by_id(["RS012"]),
+                        relative_to=relative_to)
+    messages = [f.message for f in (static.findings
+                                    + static.suppressed_noqa
+                                    + static.suppressed_baseline)]
+    out = CrossValidation()
+    for run in dynamic.runs:
+        for finding in run.report.findings:
+            for site in (finding.a_site, finding.b_site):
+                if not site or site in out.dynamic_sites:
+                    continue
+                out.dynamic_sites.append(site)
+                hit = next((m for m in messages if site in m), None)
+                if hit is not None:
+                    out.matched[site] = hit
+                else:
+                    out.missing.append(site)
     return out

@@ -1,4 +1,4 @@
-"""Codebase-specific rules RS001–RS010.
+"""Codebase-specific rules RS001–RS010, RS012 and RS015.
 
 Each rule guards one way the reproduction's two load-bearing invariants —
 *every instrumented loop is accounted* and *model costs are
@@ -6,14 +6,17 @@ deterministic* — have been (or could be) broken in practice.  The rules
 are heuristic by design: they aim for zero false negatives on the failure
 modes named in their rationale while keeping false positives rare enough
 that ``# repro: noqa[RSxxx]`` plus a one-line justification is an
-acceptable cost.  See DESIGN.md "Static analysis & determinism
-guarantees" for the catalogue.
+acceptable cost.  RS012 and RS015 guard the fork–join runtime instead:
+block bodies write only their own slice, and no constant-true loop spins
+without an exit or a cancellation check.  See DESIGN.md "Static analysis
+& determinism guarantees" for the catalogue.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 from .engine import Finding, ModuleContext, Rule, RuleMeta, call_name, dotted_name
 
@@ -642,6 +645,337 @@ class RS010FloatCounter(Rule):
                         "use // or int(...)")
 
 
+# ---------------------------------------------------------------------------
+# block purity and unbounded loops
+# ---------------------------------------------------------------------------
+
+BLOCK_DISPATCH_ATTRS = frozenset({"map_blocks", "parallel_for"})
+
+MUTATING_METHODS = frozenset({
+    "append", "extend", "add", "update", "insert", "pop", "popleft",
+    "appendleft", "clear", "setdefault", "sort", "fill", "remove",
+    "discard", "put", "write",
+})
+
+
+def _param_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    a = fn.args
+    return [p.arg for p in a.posonlyargs + a.args]
+
+
+def _root_name(node: ast.AST) -> str | None:
+    cur = node
+    while isinstance(cur, (ast.Subscript, ast.Attribute, ast.Starred)):
+        cur = cur.value
+    return cur.id if isinstance(cur, ast.Name) else None
+
+
+def _local_def(scope: ast.AST, name: str) -> ast.FunctionDef | None:
+    for node in _walk_scope(scope):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    return None
+
+
+def _import_aliases(tree: ast.AST) -> set[str]:
+    """Every name an import binds anywhere in the module (function-local
+    imports included): modules and imported callables, not shared
+    mutable state."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.asname or a.name for a in node.names
+                       if a.name != "*")
+    return out
+
+
+def _is_cancel_check(node: ast.Call) -> bool:
+    """``check_cancelled(...)``, ``<token>.check(...)``, or a dispatch
+    through ``map_blocks``/``parallel_for`` (both check internally)."""
+    name = call_name(node) or ""
+    if name.rsplit(".", 1)[-1] == "check_cancelled":
+        return True
+    if not isinstance(node.func, ast.Attribute):
+        return False
+    if node.func.attr in BLOCK_DISPATCH_ATTRS:
+        return True
+    if node.func.attr == "check":
+        recv = name.rsplit(".", 1)[0].lower() if "." in name else ""
+        return "token" in recv or recv in {"tok", "cancel"}
+    return False
+
+
+@dataclass
+class _Write:
+    node: ast.AST
+    root: str
+    disjoint: bool
+    label: str          # human description of the write shape
+
+
+@dataclass
+class _Annotation:
+    node: ast.Call
+    root: str
+    param_exact: bool
+    site: str
+
+
+class RS012BlockPurity(Rule):
+    meta = RuleMeta(
+        "RS012", "block body writes shared state outside its slice",
+        "map_blocks/parallel_for bodies run concurrently over disjoint "
+        "[lo, hi) blocks: any write to shared state must either be "
+        "structurally confined to the block bounds or carry a "
+        "race_write annotation tied to them. This is the static "
+        "counterpart of the runtime shadow-memory checker — "
+        "cross_validate_rs012 keeps it a superset of the dynamic "
+        "probes.")
+
+    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
+        imports = _import_aliases(ctx.tree)
+        # a body dispatched at several sites is checked once
+        for body in dict.fromkeys(self._task_bodies(ctx)):
+            yield from self._check_body(ctx, body, imports)
+
+    @staticmethod
+    def _task_bodies(ctx: ModuleContext) -> Iterator[ast.FunctionDef]:
+        """The defs dispatched at this module's block sites."""
+        module_defs = {n.name: n for n in ctx.tree.body
+                       if isinstance(n, ast.FunctionDef)}
+        for node in ast.walk(ctx.tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in BLOCK_DISPATCH_ATTRS
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Name)):
+                body = RS012BlockPurity._resolve_task(
+                    ctx, node, node.args[1].id, module_defs)
+                if body is not None:
+                    yield body
+
+    @staticmethod
+    def _resolve_task(ctx: ModuleContext, site: ast.Call, name: str,
+                      module_defs: dict[str, ast.FunctionDef]
+                      ) -> ast.FunctionDef | None:
+        """A def local to an enclosing function first, then a
+        module-level def.  A task passed in as a parameter is opaque."""
+        fn = ctx.enclosing_function(site)
+        while fn is not None:
+            if name in _param_names(fn):
+                return None
+            local = _local_def(fn, name)
+            if local is not None:
+                return local
+            fn = ctx.enclosing_function(fn)
+        return module_defs.get(name)
+
+    def _check_body(self, ctx: ModuleContext, body: ast.FunctionDef,
+                    imports: set[str]) -> Iterator[Finding]:
+        params = _param_names(body)
+        block_params = params[:2] if len(params) >= 2 else params
+        shared_ok = self._locals(body) | set(block_params) | imports
+
+        writes = list(self._writes(body, block_params))
+        anns_w, anns_r = self._annotations(body, block_params)
+
+        written_shared: dict[str, list[_Write]] = {}
+        for w in writes:
+            if w.root in shared_ok:
+                continue
+            written_shared.setdefault(w.root, []).append(w)
+
+        for root, ws in sorted(written_shared.items()):
+            root_anns = [a for a in anns_w if a.root == root]
+            bad_anns = [a for a in root_anns if not a.param_exact]
+            if not root_anns:
+                if all(w.disjoint for w in ws):
+                    continue   # structurally confined to the block
+                w = next(w for w in ws if not w.disjoint)
+                yield ctx.finding(
+                    "RS012", w.node,
+                    f"block body `{body.name}` writes shared `{root}` "
+                    f"({w.label}) with no race_write annotation and no "
+                    "structural disjointness — sibling blocks overlap")
+            for a in bad_anns:
+                site_tag = f" (site {a.site})" if a.site else ""
+                yield ctx.finding(
+                    "RS012", a.node,
+                    f"block body `{body.name}` writes shared `{root}` "
+                    "under a race_write region not tied to the block "
+                    f"bounds{site_tag} — sibling blocks overlap")
+        # whole-object reads of something this body also writes: the
+        # read of every other block's slice races the writes above
+        for a in anns_r:
+            if a.param_exact or a.root not in written_shared:
+                continue
+            site_tag = f" (site {a.site})" if a.site else ""
+            yield ctx.finding(
+                "RS012", a.node,
+                f"block body `{body.name}` reads whole `{a.root}`"
+                f"{site_tag} while also writing it — read/write overlap "
+                "across sibling blocks")
+
+    @staticmethod
+    def _locals(body: ast.FunctionDef) -> set[str]:
+        out: set[str] = set(_param_names(body))
+        shared_decls: set[str] = set()
+        for node in _walk_scope(body):
+            if isinstance(node, (ast.Nonlocal, ast.Global)):
+                shared_decls.update(node.names)
+            elif isinstance(node, ast.Assign):
+                for tgt in node.targets:
+                    for n in ast.walk(tgt):
+                        if isinstance(n, ast.Name):
+                            out.add(n.id)
+            elif isinstance(node, ast.AnnAssign) and \
+                    isinstance(node.target, ast.Name):
+                out.add(node.target.id)
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
+                for n in ast.walk(node.target):
+                    if isinstance(n, ast.Name):
+                        out.add(n.id)
+            elif isinstance(node, ast.withitem) and \
+                    node.optional_vars is not None:
+                for n in ast.walk(node.optional_vars):
+                    if isinstance(n, ast.Name):
+                        out.add(n.id)
+            elif isinstance(node, ast.NamedExpr) and \
+                    isinstance(node.target, ast.Name):
+                out.add(node.target.id)
+        return out - shared_decls
+
+    def _writes(self, body: ast.FunctionDef,
+                block_params: list[str]) -> Iterator[_Write]:
+        for node in _walk_scope(body):
+            if isinstance(node, ast.Assign):
+                for tgt in node.targets:
+                    yield from self._store_target(tgt, block_params)
+            elif isinstance(node, ast.AugAssign):
+                yield from self._store_target(node.target, block_params)
+            elif isinstance(node, ast.Call):
+                yield from self._call_writes(node, block_params)
+
+    def _store_target(self, tgt: ast.AST,
+                      block_params: list[str]) -> Iterator[_Write]:
+        if isinstance(tgt, ast.Subscript):
+            root = _root_name(tgt)
+            if root is None:
+                return
+            disjoint = self._index_disjoint(tgt.slice, block_params)
+            yield _Write(tgt, root, disjoint, "subscript store")
+        elif isinstance(tgt, ast.Attribute):
+            root = _root_name(tgt)
+            if root is not None:
+                yield _Write(tgt, root, False, "attribute store")
+
+    def _call_writes(self, node: ast.Call,
+                     block_params: list[str]) -> Iterator[_Write]:
+        name = call_name(node) or ""
+        # np.add.at(x, idx, v) and friends: scatter write into x
+        if name.endswith(".at") and node.args:
+            root = _root_name(node.args[0])
+            if root is not None:
+                yield _Write(node, root, False, "scatter write")
+        # ufunc(..., out=x) / ufunc(..., out=x[lo:hi])
+        for kw in node.keywords:
+            if kw.arg != "out":
+                continue
+            root = _root_name(kw.value)
+            if root is None:
+                continue
+            if isinstance(kw.value, ast.Subscript):
+                disjoint = self._index_disjoint(kw.value.slice,
+                                                block_params)
+            else:
+                disjoint = False
+            yield _Write(node, root, disjoint, "out= write")
+        # x.append(...), x.update(...): whole-object mutation
+        if isinstance(node.func, ast.Attribute) and \
+                node.func.attr in MUTATING_METHODS:
+            root = _root_name(node.func.value)
+            if root is not None:
+                yield _Write(node, root, False,
+                             f".{node.func.attr}() mutation")
+
+    @staticmethod
+    def _index_disjoint(index: ast.expr, block_params: list[str]) -> bool:
+        """Index/slice expressions provably confined to this block:
+        ``x[lo:hi]`` for the two block params, or ``x[i]`` for a
+        single-index block param."""
+        if isinstance(index, ast.Slice):
+            lo, hi = index.lower, index.upper
+            return (len(block_params) >= 2
+                    and isinstance(lo, ast.Name)
+                    and isinstance(hi, ast.Name)
+                    and lo.id == block_params[0]
+                    and hi.id == block_params[1]
+                    and index.step is None)
+        if isinstance(index, ast.Name):
+            return index.id in block_params
+        return False
+
+    @staticmethod
+    def _annotations(body: ast.FunctionDef, block_params: list[str]
+                     ) -> tuple[list[_Annotation], list[_Annotation]]:
+        writes: list[_Annotation] = []
+        reads: list[_Annotation] = []
+        for node in _walk_scope(body):
+            if not isinstance(node, ast.Call):
+                continue
+            leaf = (call_name(node) or "").rsplit(".", 1)[-1]
+            if leaf not in {"race_write", "race_read"} or not node.args:
+                continue
+            root = _root_name(node.args[0])
+            if root is None:
+                continue
+            bounds = node.args[1:3]
+            param_exact = False
+            if len(bounds) == 2 and len(block_params) >= 2:
+                b0, b1 = bounds
+                if isinstance(b0, ast.Name) and isinstance(b1, ast.Name):
+                    param_exact = (b0.id == block_params[0]
+                                   and b1.id == block_params[1])
+            site = ""
+            for kw in node.keywords:
+                if kw.arg == "site" and isinstance(kw.value,
+                                                   ast.Constant):
+                    site = str(kw.value.value)
+            ann = _Annotation(node, root, param_exact, site)
+            (writes if leaf == "race_write" else reads).append(ann)
+        return writes, reads
+
+
+class RS015UnboundedLoop(Rule):
+    meta = RuleMeta(
+        "RS015", "constant-true loop without exit or cancellation check",
+        "A `while True` with no break/return/raise and no cancellation "
+        "check can only be stopped by killing its process: an engine "
+        "loop ignores preemption, and a hung worker is recovered only "
+        "by the liveness timeout's SIGKILL, which forfeits its "
+        "completed blocks.")
+
+    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.While)
+                    and isinstance(node.test, ast.Constant)
+                    and bool(node.test.value)):
+                continue
+            inner = [n for stmt in node.body for n in ast.walk(stmt)]
+            if any(isinstance(n, (ast.Break, ast.Return, ast.Raise))
+                   for n in inner):
+                continue
+            if any(isinstance(n, ast.Call) and _is_cancel_check(n)
+                   for n in inner):
+                continue
+            yield ctx.finding(
+                "RS015", node,
+                "unbounded `while True` with no break/return/raise and no "
+                "cancellation check — only killing the process stops it")
+
+
 ALL_RULES: tuple[Rule, ...] = (
     RS001UnaccountedLoop(),
     RS002RawRandomness(),
@@ -653,23 +987,18 @@ ALL_RULES: tuple[Rule, ...] = (
     RS008UnregisteredMetric(),
     RS009IdentityOrdering(),
     RS010FloatCounter(),
+    RS012BlockPurity(),
+    RS015UnboundedLoop(),
 )
 
 
 def rules_by_id(ids: Iterable[str] | None = None) -> tuple[Rule, ...]:
-    """The rule objects for ``ids`` (the module rules when None).
-
-    Ids may name either plane: module rules RS001–RS010 or the
-    interprocedural flow rules RS011–RS015 (imported lazily — the flow
-    package depends on this module's frozensets).
-    """
+    """The rule objects for ``ids`` (every rule when None)."""
     if ids is None:
         return ALL_RULES
-    from .flow.rules import FLOW_RULES
-    catalogue: tuple[Rule, ...] = ALL_RULES + FLOW_RULES
     wanted = {i.upper() for i in ids}
-    known = {r.meta.id for r in catalogue}
+    known = {r.meta.id for r in ALL_RULES}
     unknown = wanted - known
     if unknown:
         raise ValueError(f"unknown rule id(s): {sorted(unknown)}")
-    return tuple(r for r in catalogue if r.meta.id in wanted)
+    return tuple(r for r in ALL_RULES if r.meta.id in wanted)

@@ -1,23 +1,28 @@
-"""Static-analysis engine, rules RS001–RS015, and the race checker.
+"""Static-analysis engine, rules RS001–RS010, RS012, RS015, and the race
+checker.
 
 Each rule gets a positive fixture (must fire), a negative fixture (must
 stay quiet), and the suppression paths (noqa, baseline) are exercised on
-top.  The interprocedural flow rules (RS011–RS015) additionally get the
-committed toy-engine fixture (every rule must fire on it) and a
-cross-validation harness proving static RS012 covers everything the
-dynamic race checker reports.  The race-checker section proves the
-happens-before relation, flags a deliberately racy kernel at every pool
-size, and shows the real probes clean.  Finally, the real package must
-lint clean on both planes — the same gate CI enforces via
-``repro check``.
+top.  RS012 and RS015 additionally must fire on the committed toy-engine
+fixture, and a cross-validation harness proves static RS012 covers
+everything the dynamic race checker reports.  The race-checker section
+proves the happens-before relation, flags a deliberately racy kernel at
+every pool size, and shows the real probes clean.  Finally, the real
+package must lint clean — the same gate CI enforces via ``repro check``.
+The engine contract, task pickling and the exception taxonomy are
+checked by execution in ``tests/test_engine_conformance.py``.
 """
 
 import json
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.baselines.bellman_ford_threaded import _relax_block
+from repro.core.fischer import _neg_candidates_block
+from repro.core.sssp import _reduced_weights_block
 from repro.runtime.executor import ForkJoinPool
 from repro.runtime.racecheck import (
     RaceChecker,
@@ -27,9 +32,8 @@ from repro.runtime.racecheck import (
     race_read,
     race_write,
 )
-from repro.statics import FLOW_RULES, lint_source, rules_by_id
+from repro.statics import cross_validate_rs012, lint_source, rules_by_id
 from repro.statics.engine import Baseline, BaselineEntry, lint_paths
-from repro.statics.flow import cross_validate_rs012
 from repro.statics.races import run_race_probes
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -251,32 +255,8 @@ class TestRS010:
 
 
 # ---------------------------------------------------------------------------
-# interprocedural flow rules RS011–RS015
+# fork–join rules RS012 and RS015
 # ---------------------------------------------------------------------------
-
-RS011_POS_LAMBDA = """
-def run(pool, data):
-    pool.map_blocks(len(data), lambda lo, hi: None)
-"""
-
-RS011_POS_LOCK = """
-import threading
-
-def task(lo, hi, lock):
-    lock.acquire()
-
-def run(pool, data):
-    lock = threading.Lock()
-    pool.map_blocks(len(data), task, (lock,))
-"""
-
-RS011_NEG = """
-def task(lo, hi, data):
-    data[lo] = hi
-
-def run(pool, data):
-    pool.map_blocks(len(data), task, (data,))
-"""
 
 RS012_POS_SHARED = """
 def run(pool, hist):
@@ -307,16 +287,7 @@ def run(pool, data, out):
     pool.parallel_for(len(data), body)
 """
 
-RS013_POS = """
-SSSP_ENGINES = Registry("SSSP engine")
-
-@SSSP_ENGINES.register("bad")
-class BadEngine:
-    def solve(self, g, source, backend=None):
-        return g
-"""
-
-RS013_POS_LOOP = """
+RS015_POS_ENGINE_LOOP = """
 SSSP_ENGINES = Registry("SSSP engine")
 
 @SSSP_ENGINES.register("spin")
@@ -324,42 +295,6 @@ class SpinEngine:
     def solve(self, g, source, backend=None):
         while True:
             source += 1
-"""
-
-RS013_NEG = """
-from repro.observability.trace import trace_span
-from repro.runtime.metrics import CostAccumulator
-from repro.runtime.registry import Registry
-
-SSSP_ENGINES = Registry("SSSP engine")
-
-@SSSP_ENGINES.register("good")
-class GoodEngine:
-    def solve(self, g, source, backend=None, token=None):
-        acc = CostAccumulator()
-        with trace_span("solve"):
-            acc.charge(g.n, span=1.0)
-            if token is not None:
-                token.check()
-        return None
-"""
-
-RS014_POS = RS013_POS.replace(
-    "        return g", '        raise ValueError("boom")')
-
-RS014_NEG = """
-class ReproError(Exception):
-    pass
-
-class InputValidationError(ReproError, ValueError):
-    pass
-
-SSSP_ENGINES = Registry("SSSP engine")
-
-@SSSP_ENGINES.register("ok")
-class TaxonomyEngine:
-    def solve(self, g, source, backend=None):
-        raise InputValidationError("bad input")
 """
 
 RS015_POS = """
@@ -393,19 +328,6 @@ def run(pool, data):
 """
 
 
-class TestRS011:
-    def test_fires_on_lambda_task(self):
-        (f,) = findings_of(RS011_POS_LAMBDA, "RS011")
-        assert f.rule == "RS011"
-
-    def test_fires_on_lock_in_args(self):
-        findings = findings_of(RS011_POS_LOCK, "RS011")
-        assert any("lock" in f.message.lower() for f in findings)
-
-    def test_quiet_on_module_fn_with_plain_args(self):
-        assert findings_of(RS011_NEG, "RS011") == []
-
-
 class TestRS012:
     def test_fires_on_unannotated_shared_write(self):
         findings = findings_of(RS012_POS_SHARED, "RS012")
@@ -419,31 +341,6 @@ class TestRS012:
         assert findings_of(RS012_NEG, "RS012") == []
 
 
-class TestRS013:
-    def test_fires_on_contract_free_engine(self):
-        findings = findings_of(RS013_POS, "RS013")
-        joined = " ".join(f.message for f in findings)
-        assert "charge" in joined
-        assert "trace_span" in joined
-        assert "cancel" in joined
-
-    def test_fires_on_uncancellable_engine_loop(self):
-        findings = findings_of(RS013_POS_LOOP, "RS013")
-        assert any("while True" in f.message for f in findings)
-
-    def test_quiet_on_conformant_engine(self):
-        assert findings_of(RS013_NEG, "RS013") == []
-
-
-class TestRS014:
-    def test_fires_on_generic_raise_on_solver_path(self):
-        findings = findings_of(RS014_POS, "RS014")
-        assert any("ValueError" in f.message for f in findings)
-
-    def test_quiet_on_taxonomy_raise(self):
-        assert findings_of(RS014_NEG, "RS014") == []
-
-
 class TestRS015:
     def test_fires_on_unbounded_worker_loop(self):
         findings = findings_of(RS015_POS, "RS015")
@@ -455,18 +352,23 @@ class TestRS015:
     def test_quiet_when_loop_breaks(self):
         assert findings_of(RS015_NEG_BREAK, "RS015") == []
 
+    def test_fires_on_uncancellable_engine_loop(self):
+        findings = findings_of(RS015_POS_ENGINE_LOOP, "RS015")
+        assert any("while True" in f.message for f in findings)
+
 
 class TestFlowSelfTest:
-    """The committed toy fixture is the CI self-test: every flow rule
-    must fire on it, so a regression that silences a rule breaks here
-    (and in the lint-and-race job) rather than silently passing."""
+    """The committed toy fixture is the CI self-test for the fork–join
+    rules: RS012 and RS015 must fire on it, so a regression that silences
+    either breaks here (and in the lint-and-race job) rather than
+    silently passing."""
 
     def test_toy_engine_fires_every_flow_rule(self):
         report = lint_paths([REPO / "tests" / "fixtures" / "statics"],
-                            rules=FLOW_RULES, relative_to=REPO)
+                            rules=rules_by_id(["RS012", "RS015"]),
+                            relative_to=REPO)
         fired = {f.rule for f in report.findings}
-        assert fired == {"RS011", "RS012", "RS013", "RS014", "RS015"}, (
-            report.render())
+        assert fired == {"RS012", "RS015"}, report.render()
 
 
 class TestRuleMetadataJson:
@@ -495,10 +397,10 @@ class TestRuleMetadataJson:
 
 class TestFingerprintStability:
     def test_multiline_finding_fingerprint_survives_line_moves(self):
-        # flow findings anchor multi-line nodes (a whole class def); the
+        # RS015 findings anchor multi-line nodes (a whole loop); the
         # baseline must keep matching them when unrelated edits above
         # shift every line number
-        report = lint_source(RS013_POS, rules=rules_by_id(["RS013"]))
+        report = lint_source(RS015_POS, rules=rules_by_id(["RS015"]))
         assert report.findings
         occurrence: dict[tuple, int] = {}
         entries = []
@@ -511,8 +413,8 @@ class TestFingerprintStability:
                 rule=f.rule, path=f.path, fingerprint=f.fingerprint(idx),
                 justification="pinned across the line move"))
         moved = ("\n\n# a new comment pushes every finding down\n\n"
-                 + RS013_POS)
-        again = lint_source(moved, rules=rules_by_id(["RS013"]),
+                 + RS015_POS)
+        again = lint_source(moved, rules=rules_by_id(["RS015"]),
                             baseline=Baseline(entries))
         assert again.findings == []
         assert again.stale_baseline == []
@@ -520,11 +422,11 @@ class TestFingerprintStability:
         assert again.ok
 
     def test_baseline_entry_for_unrun_rule_is_not_stale(self):
-        # a subset run (one plane) must not condemn the other plane's
+        # a subset run (--rules RS004) must not condemn another rule's
         # grandfathered findings as stale
         baseline = Baseline([BaselineEntry(
             rule="RS012", path="x.py", fingerprint="f" * 16,
-            justification="belongs to the flow plane")])
+            justification="belongs to a rule this run skips")])
         report = lint_source("x = 1\n", rules=rules_by_id(["RS004"]),
                              baseline=baseline)
         assert report.stale_baseline == []
@@ -785,18 +687,25 @@ class TestRealPackage:
         assert report.ok, report.render()
 
     def test_src_flow_plane_clean(self):
-        baseline = Baseline.load(REPO / "statics_baseline.json")
-        report = lint_paths([REPO / "src"], rules=FLOW_RULES,
-                            baseline=baseline, relative_to=REPO)
-        assert report.ok, report.render()
+        # the fork–join rules are clean on src, and the one suppression
+        # is the deliberately racy probe cross_validate_rs012 relies on
+        report = lint_paths([REPO / "src"],
+                            rules=rules_by_id(["RS012", "RS015"]),
+                            relative_to=REPO)
+        assert report.findings == [], report.render()
+        assert [(f.rule, f.path) for f in report.suppressed_noqa] == [
+            ("RS012", "src/repro/statics/races.py")]
 
     def test_block_functions_pickle_and_purity_clean(self):
-        # satellite gate: the block functions shipped to workers carry no
-        # pickle hazards and no unannotated shared writes
+        # the block functions shipped to workers pickle by reference and
+        # write nothing shared outside their slice
+        for fn in (_reduced_weights_block, _neg_candidates_block,
+                   _relax_block):
+            assert pickle.loads(pickle.dumps(fn)) is fn
         targets = [REPO / "src/repro/core/fischer.py",
-                   REPO / "src/repro/observability/worker.py",
+                   REPO / "src/repro/core/sssp.py",
                    REPO / "src/repro/baselines/bellman_ford_threaded.py"]
-        report = lint_paths(targets, rules=rules_by_id(["RS011", "RS012"]),
+        report = lint_paths(targets, rules=rules_by_id(["RS012"]),
                             relative_to=REPO)
         assert report.findings == [], report.render()
 
